@@ -17,7 +17,7 @@ use hipmer_align::{
     SwWorkspace,
 };
 use hipmer_dna::{mix128, Kmer, KmerCodec};
-use hipmer_pgas::{json::Value, DistHashMap, RankCtx, Team, Topology};
+use hipmer_pgas::{json::Value, DistHashMap, RankCtx, Team, Topology, DEFAULT_MINIMIZER_LEN};
 use hipmer_seqio::fastq::parse_fastq_reference;
 use hipmer_seqio::{parse_fastq, write_fastq, SeqRecord};
 use hipmer_sketch::{BloomFilter, HyperLogLog, MisraGries};
@@ -217,6 +217,50 @@ fn bench_before_after(_c: &mut Criterion) {
             "call",
             || ungapped_matches_reference(&a, &b),
             || ungapped_matches(&a, &b),
+        ));
+    }
+
+    // Minimizer hash of every k = 55 k-mer of a 1 kb sequence at the
+    // placement default m: per-window u128 extract + reverse complement vs
+    // the scalar rolled over the k-mer's bases. This is the per-key cost of
+    // every random-access owner() under minimizer placement.
+    {
+        let seq = lcg_seq(1_000, 5);
+        let codec = KmerCodec::new(55);
+        let m = DEFAULT_MINIMIZER_LEN;
+        let kmers: Vec<Kmer> = codec.kmers(&seq).map(|(_, km)| km).collect();
+        pairs.push(run_pair(
+            "minimizer_hash_k55",
+            "seq",
+            || {
+                kmers
+                    .iter()
+                    .fold(0u64, |acc, &km| acc ^ codec.minimizer_hash_reference(km, m))
+            },
+            || {
+                kmers
+                    .iter()
+                    .fold(0u64, |acc, &km| acc ^ codec.minimizer_hash(km, m))
+            },
+        ));
+    }
+
+    // Bloom filter: 10k inserts (a third of them repeats) into a fresh
+    // filter at design load, collecting each key's probes into a Vec vs
+    // stepping them in place.
+    {
+        let keys: Vec<u64> = (0..10_000u64)
+            .map(|i| hipmer_dna::mix64(i % 6_700))
+            .collect();
+        let fill = |insert: fn(&mut BloomFilter, u64) -> bool| {
+            let mut f = BloomFilter::with_rate(6_700, 0.01);
+            keys.iter().filter(|&&h| insert(&mut f, h)).count()
+        };
+        pairs.push(run_pair(
+            "bloom_insert",
+            "batch",
+            || fill(BloomFilter::insert_reference),
+            || fill(BloomFilter::insert),
         ));
     }
 

@@ -238,17 +238,48 @@ impl KmerCodec {
     /// With `m == k` (a single window) this degenerates to
     /// `mix64(canonical(km))`.
     ///
+    /// Cost is O(k): the forward and reverse-complement m-mer words roll in
+    /// a `u64` across the k-mer's bases (k shifts), and each of the
+    /// `k - m + 1` windows costs one `mix64`. Streaming callers that visit
+    /// every k-mer of a sequence get the same values in amortized O(1) per
+    /// k-mer from [`minimizer_kmers`](Self::minimizer_kmers).
+    ///
     /// # Panics
     /// Panics unless `1 <= m <= min(k, MAX_MINIMIZER_LEN)` — ownership
     /// decisions ride on this value, so the range is enforced in release
     /// builds too.
     pub fn minimizer_hash(&self, kmer: Kmer, m: usize) -> u64 {
-        assert!(
-            m >= 1 && m <= self.k && m <= Self::MAX_MINIMIZER_LEN,
-            "minimizer length m={m} outside 1..=min(k={}, {})",
-            self.k,
-            Self::MAX_MINIMIZER_LEN
-        );
+        self.check_minimizer_len(m);
+        let m_mask = u64::MAX >> (64 - 2 * m);
+        let rc_shift = 2 * (m - 1);
+        let (mut fwd, mut rc, mut fed, mut best) = (0u64, 0u64, 0usize, u64::MAX);
+        // Bases 5' to 3': the high word holds the first `k - 32` (if any),
+        // the low word the remaining ones.
+        let hi_len = self.k.saturating_sub(32);
+        for (word, len) in [
+            ((kmer.0 >> 64) as u64, hi_len),
+            (kmer.0 as u64, self.k - hi_len),
+        ] {
+            for i in (0..len).rev() {
+                let code = (word >> (2 * i)) & 0b11;
+                fwd = ((fwd << 2) | code) & m_mask;
+                rc = (rc >> 2) | ((3 - code) << rc_shift);
+                fed += 1;
+                if fed >= m {
+                    best = best.min(crate::hash::mix64(fwd.min(rc)));
+                }
+            }
+        }
+        best
+    }
+
+    /// Reference oracle for [`minimizer_hash`](Self::minimizer_hash): the
+    /// per-window scan that extracts and reverse-complements every m-mer
+    /// from the `u128` word. Kept for differential tests and the kernel
+    /// bench; not for production use.
+    #[doc(hidden)]
+    pub fn minimizer_hash_reference(&self, kmer: Kmer, m: usize) -> u64 {
+        self.check_minimizer_len(m);
         let mcodec = KmerCodec::new(m);
         let mut best = u64::MAX;
         for i in 0..=(self.k - m) {
@@ -257,6 +288,16 @@ impl KmerCodec {
             best = best.min(crate::hash::mix64(canon.0 as u64));
         }
         best
+    }
+
+    /// The minimizer-length contract shared by the minimizer functions.
+    fn check_minimizer_len(&self, m: usize) {
+        assert!(
+            m >= 1 && m <= self.k && m <= Self::MAX_MINIMIZER_LEN,
+            "minimizer length m={m} outside 1..=min(k={}, {})",
+            self.k,
+            Self::MAX_MINIMIZER_LEN
+        );
     }
 
     /// Iterate over all k-mers of `seq` (ASCII), skipping windows that
@@ -300,15 +341,10 @@ impl KmerCodec {
     /// # Panics
     /// Panics unless `1 <= m <= min(k, MAX_MINIMIZER_LEN)`.
     pub fn minimizer_kmers<'a>(&self, seq: &'a [u8], m: usize) -> MinimizerKmerIter<'a> {
-        assert!(
-            m >= 1 && m <= self.k && m <= Self::MAX_MINIMIZER_LEN,
-            "minimizer length m={m} outside 1..=min(k={}, {})",
-            self.k,
-            Self::MAX_MINIMIZER_LEN
-        );
+        self.check_minimizer_len(m);
         MinimizerKmerIter {
             codec: *self,
-            mcodec: KmerCodec::new(m),
+            m,
             seq,
             pos: 0,
             valid: 0,
@@ -316,7 +352,9 @@ impl KmerCodec {
             rc_bits: 0,
             mbits: 0,
             m_rc_bits: 0,
-            window: std::collections::VecDeque::new(),
+            // At most `k - m + 2` hashes are live: the window's plus the
+            // one pushed before the stale front is popped.
+            window: std::collections::VecDeque::with_capacity(self.k - m + 2),
         }
     }
 }
@@ -434,7 +472,8 @@ impl<'a> Iterator for CanonicalKmerIter<'a> {
 /// base is pushed and popped at most once regardless of `k - m + 1`.
 pub struct MinimizerKmerIter<'a> {
     codec: KmerCodec,
-    mcodec: KmerCodec,
+    /// Minimizer length.
+    m: usize,
     seq: &'a [u8],
     pos: usize,
     /// How many consecutive valid bases end at `pos` (capped at k).
@@ -443,8 +482,8 @@ pub struct MinimizerKmerIter<'a> {
     bits: u128,
     rc_bits: u128,
     /// Forward / reverse-complement m-mer windows (low `2m` bits).
-    mbits: u128,
-    m_rc_bits: u128,
+    mbits: u64,
+    m_rc_bits: u64,
     /// `(m-mer offset, mix64(canonical m-mer))` with nondecreasing hashes
     /// front to back; the front is the current window minimum.
     window: std::collections::VecDeque<(usize, u64)>,
@@ -455,8 +494,9 @@ impl<'a> Iterator for MinimizerKmerIter<'a> {
 
     fn next(&mut self) -> Option<(usize, Kmer, Kmer, u64)> {
         let k = self.codec.k;
-        let m = self.mcodec.k;
+        let m = self.m;
         let rc_shift = 2 * (k - 1) as u32;
+        let m_mask = u64::MAX >> (64 - 2 * m);
         let m_rc_shift = 2 * (m - 1) as u32;
         while self.pos < self.seq.len() {
             let b = self.seq[self.pos];
@@ -465,12 +505,11 @@ impl<'a> Iterator for MinimizerKmerIter<'a> {
                 Some(code) => {
                     self.bits = ((self.bits << 2) | code as u128) & self.codec.mask;
                     self.rc_bits = (self.rc_bits >> 2) | (((3 - code) as u128) << rc_shift);
-                    self.mbits = ((self.mbits << 2) | code as u128) & self.mcodec.mask;
-                    self.m_rc_bits = (self.m_rc_bits >> 2) | (((3 - code) as u128) << m_rc_shift);
+                    self.mbits = ((self.mbits << 2) | code as u64) & m_mask;
+                    self.m_rc_bits = (self.m_rc_bits >> 2) | (((3 - code) as u64) << m_rc_shift);
                     self.valid = (self.valid + 1).min(k);
                     if self.valid >= m {
-                        let canon_m = self.mbits.min(self.m_rc_bits);
-                        let h = crate::hash::mix64(canon_m as u64);
+                        let h = crate::hash::mix64(self.mbits.min(self.m_rc_bits));
                         while self.window.back().is_some_and(|&(_, bh)| bh >= h) {
                             self.window.pop_back();
                         }
@@ -763,22 +802,75 @@ mod tests {
         }
     }
 
+    /// Deterministic LCG DNA with an `N` every `n_every` bases (0 = none):
+    /// aperiodic, unlike [`noisy_seq`], so every window differs.
+    fn lcg_seq(len: usize, n_every: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if n_every != 0 && i % n_every == n_every - 1 {
+                    b'N'
+                } else {
+                    crate::base::BASES[(x >> 62) as usize]
+                }
+            })
+            .collect()
+    }
+
+    /// The (k, m) grid of the differential minimizer tests: one- and
+    /// two-word k-mers, including both `u128` boundary lengths, against
+    /// short, default-sized and full-`u64` minimizers.
+    const MINIMIZER_GRID: [(usize, usize); 20] = [
+        (11, 4),
+        (21, 7),
+        (31, 15),
+        (32, 32),
+        (33, 7),
+        (33, 15),
+        (33, 32),
+        (55, 7),
+        (55, 15),
+        (55, 32),
+        (63, 7),
+        (63, 15),
+        (63, 32),
+        (64, 7),
+        (64, 15),
+        (64, 32),
+        (3, 3),
+        (7, 3),
+        (40, 1),
+        (64, 1),
+    ];
+
     #[test]
     fn minimizer_hash_matches_naive_window_scan() {
-        let k = 11;
-        let m = 4;
-        let c = KmerCodec::new(k);
-        let mc = KmerCodec::new(m);
-        let seq = noisy_seq(k, 0, 2);
-        let km = c.pack(&seq).unwrap();
-        let naive = (0..=k - m)
-            .map(|i| {
-                let mm = mc.pack(&seq[i..i + m]).unwrap();
-                crate::hash::mix64(mc.canonical(mm).0 as u64)
-            })
-            .min()
-            .unwrap();
-        assert_eq!(c.minimizer_hash(km, m), naive);
+        // The rolled scalar hash, the per-window reference oracle and a
+        // string-level scan over packed m-mers agree at every k-mer.
+        for (k, m) in MINIMIZER_GRID {
+            let c = KmerCodec::new(k);
+            let mc = KmerCodec::new(m);
+            let seq = lcg_seq(k + 40, 0, (k * 100 + m) as u64);
+            for (off, km) in c.kmers(&seq) {
+                let window = &seq[off..off + k];
+                let naive = (0..=k - m)
+                    .map(|i| {
+                        let mm = mc.pack(&window[i..i + m]).unwrap();
+                        crate::hash::mix64(mc.canonical(mm).0 as u64)
+                    })
+                    .min()
+                    .unwrap();
+                assert_eq!(c.minimizer_hash(km, m), naive, "k={k} m={m} off={off}");
+                assert_eq!(
+                    c.minimizer_hash_reference(km, m),
+                    naive,
+                    "k={k} m={m} off={off} (reference)"
+                );
+            }
+        }
     }
 
     #[test]
@@ -798,17 +890,28 @@ mod tests {
     #[test]
     fn minimizer_iter_matches_per_kmer_hash() {
         // Window edges are exercised by the N resets (the deque must clear)
-        // and by sequence start/end; k=m covers the single-window case.
-        for (k, m) in [(3usize, 3usize), (7, 3), (21, 7), (31, 15), (32, 32)] {
+        // and by sequence start/end; k=m covers the single-window case. At
+        // every k-mer the rolled hash equals both the scalar hash and the
+        // per-window reference oracle.
+        for (k, m) in MINIMIZER_GRID {
             let c = KmerCodec::new(k);
-            let seq = noisy_seq(240, 53, 5);
-            let rolled: Vec<(usize, Kmer, Kmer, u64)> = c.minimizer_kmers(&seq, m).collect();
-            let naive: Vec<(usize, Kmer, Kmer, u64)> = c
-                .canonical_kmers(&seq)
-                .map(|(off, km, canon)| (off, km, canon, c.minimizer_hash(km, m)))
-                .collect();
-            assert_eq!(rolled, naive, "k={k} m={m}");
-            assert!(!rolled.is_empty(), "fixture must produce k-mers");
+            for seq in [noisy_seq(300, 71, 5), lcg_seq(400, 97, (k + m) as u64)] {
+                let rolled: Vec<(usize, Kmer, Kmer, u64)> = c.minimizer_kmers(&seq, m).collect();
+                let scalar: Vec<(usize, Kmer, Kmer, u64)> = c
+                    .canonical_kmers(&seq)
+                    .map(|(off, km, canon)| (off, km, canon, c.minimizer_hash(km, m)))
+                    .collect();
+                let reference: Vec<u64> = c
+                    .kmers(&seq)
+                    .map(|(_, km)| c.minimizer_hash_reference(km, m))
+                    .collect();
+                assert_eq!(rolled, scalar, "k={k} m={m}");
+                assert!(
+                    rolled.iter().map(|q| q.3).eq(reference.iter().copied()),
+                    "k={k} m={m} (reference)"
+                );
+                assert!(!rolled.is_empty(), "fixture must produce k-mers");
+            }
         }
     }
 

@@ -30,33 +30,60 @@ fn canonical_votes(
 
 /// Visit every k-mer occurrence of a read with its quality-filtered
 /// neighbor bases (already re-oriented to canonical form).
-fn for_each_occurrence<F>(codec: &KmerCodec, cfg: &KmerAnalysisConfig, read: &SeqRecord, mut f: F)
-where
-    F: FnMut(Kmer, Option<u8>, Option<u8>),
+///
+/// Under minimizer placement the occurrence also carries the minimizer hash
+/// rolled along the read (amortized O(1) per k-mer), which [`owner_of`]
+/// turns into the owner without rescanning the k-mer's windows. The
+/// iterator is picked from the pass's partitioner, once per read.
+fn for_each_occurrence<F>(
+    codec: &KmerCodec,
+    cfg: &KmerAnalysisConfig,
+    part: Partitioner,
+    read: &SeqRecord,
+    mut f: F,
+) where
+    F: FnMut(Kmer, Option<u64>, Option<u8>, Option<u8>),
 {
     let k = codec.k();
-    for (off, km, canon) in codec.canonical_kmers(&read.seq) {
-        let left = if off > 0 {
-            match read.phred(off - 1) {
-                Some(q) if q >= cfg.min_qual => hipmer_dna::encode_base(read.seq[off - 1]),
-                None => hipmer_dna::encode_base(read.seq[off - 1]),
-                _ => None,
-            }
-        } else {
-            None
-        };
+    let neighbor = |i: usize| match read.phred(i) {
+        Some(q) if q >= cfg.min_qual => hipmer_dna::encode_base(read.seq[i]),
+        None => hipmer_dna::encode_base(read.seq[i]),
+        _ => None,
+    };
+    let mut visit = |off: usize, km: Kmer, canon: Kmer, rolled: Option<u64>| {
+        let left = if off > 0 { neighbor(off - 1) } else { None };
         let right = if off + k < read.seq.len() {
-            match read.phred(off + k) {
-                Some(q) if q >= cfg.min_qual => hipmer_dna::encode_base(read.seq[off + k]),
-                None => hipmer_dna::encode_base(read.seq[off + k]),
-                _ => None,
-            }
+            neighbor(off + k)
         } else {
             None
         };
         let (l, r) = canonical_votes(km, canon, left, right);
-        f(canon, l, r);
+        f(canon, rolled, l, r);
+    };
+    match part {
+        Partitioner::Uniform => {
+            for (off, km, canon) in codec.canonical_kmers(&read.seq) {
+                visit(off, km, canon, None);
+            }
+        }
+        Partitioner::Minimizer { m, .. } => {
+            for (off, km, canon, h) in codec.minimizer_kmers(&read.seq, m) {
+                visit(off, km, canon, Some(h));
+            }
+        }
     }
+}
+
+/// The owner of one occurrence: from the minimizer hash rolled along the
+/// read when there is one, else from the canonical k-mer itself.
+#[inline]
+fn owner_of<V: Send>(table: &DistHashMap<Kmer, V>, canon: &Kmer, rolled: Option<u64>) -> usize {
+    let dest = match rolled {
+        Some(h) => table.owner_of_hash(h),
+        None => table.owner(canon),
+    };
+    debug_assert_eq!(dest, table.owner(canon), "rolled owner disagrees");
+    dest
 }
 
 /// Pass 2: route every (non-heavy) k-mer occurrence to its owner, which
@@ -67,6 +94,7 @@ fn bloom_pass(
     reads: &[SeqRecord],
     cfg: &KmerAnalysisConfig,
     sketch: &SketchResult,
+    part: Partitioner,
     table: &DistHashMap<Kmer, ExtVotes>,
 ) -> PhaseReport {
     let codec = KmerCodec::new(cfg.k);
@@ -120,10 +148,10 @@ fn bloom_pass(
         };
         let chunk = ctx.chunk(reads.len());
         for read in &reads[chunk] {
-            for_each_occurrence(&codec, cfg, read, |canon, _, _| {
+            for_each_occurrence(&codec, cfg, part, read, |canon, rolled, _, _| {
                 ctx.stats.compute(1);
                 if !sketch.heavy_hitters.contains(&canon) {
-                    let dest = table.owner(&canon);
+                    let dest = owner_of(table, &canon, rolled);
                     outbox.push_async(ctx, dest, canon, &mut try_apply);
                 }
             });
@@ -143,6 +171,7 @@ fn count_pass(
     reads: &[SeqRecord],
     cfg: &KmerAnalysisConfig,
     sketch: &SketchResult,
+    part: Partitioner,
     table: &DistHashMap<Kmer, ExtVotes>,
 ) -> PhaseReport {
     let codec = KmerCodec::new(cfg.k);
@@ -178,7 +207,7 @@ fn count_pass(
 
         let chunk = ctx.chunk(reads.len());
         for read in &reads[chunk] {
-            for_each_occurrence(&codec, cfg, read, |canon, l, r| {
+            for_each_occurrence(&codec, cfg, part, read, |canon, rolled, l, r| {
                 ctx.stats.compute(1);
                 if sketch.heavy_hitters.contains(&canon) {
                     // Local accumulation: no communication per occurrence.
@@ -186,7 +215,7 @@ fn count_pass(
                 } else {
                     let mut votes = ExtVotes::new();
                     votes.record(l, r);
-                    let dest = table.owner(&canon);
+                    let dest = owner_of(table, &canon, rolled);
                     outbox.push_async(ctx, dest, (canon, votes), &mut try_apply);
                 }
             });
@@ -263,10 +292,13 @@ pub fn analyze_kmers(
     let part = Partitioner::new(cfg.partition, cfg.k);
     let votes_table: DistHashMap<Kmer, ExtVotes> = part.table(*team.topo(), codec);
     if cfg.use_bloom {
-        reports
-            .push(bloom_pass(team, reads, cfg, &sketch, &votes_table).with_placement(part.label()));
+        reports.push(
+            bloom_pass(team, reads, cfg, &sketch, part, &votes_table).with_placement(part.label()),
+        );
     }
-    reports.push(count_pass(team, reads, cfg, &sketch, &votes_table).with_placement(part.label()));
+    reports.push(
+        count_pass(team, reads, cfg, &sketch, part, &votes_table).with_placement(part.label()),
+    );
 
     let final_table: DistHashMap<Kmer, KmerEntry> = part.table(*team.topo(), codec);
     reports.push(finalize(team, cfg, votes_table, &final_table).with_placement(part.label()));
@@ -517,17 +549,27 @@ mod tests {
         }
         let reads = perfect_reads(&genome, 90, 3);
         let team = Team::new(Topology::new(8, 4));
-        for use_bloom in [false, true] {
-            let mut cfg = KmerAnalysisConfig::new(21);
-            cfg.theta = 256;
-            cfg.hh_min_reported = 50;
-            cfg.use_bloom = use_bloom;
-            cfg.partition = hipmer_pgas::PartitionScheme::Uniform;
-            let (spec_u, _) = analyze_kmers(&team, &reads, &cfg);
-            cfg.partition = hipmer_pgas::PartitionScheme::Minimizer;
-            let (spec_m, _) = analyze_kmers(&team, &reads, &cfg);
-            assert!(spec_m.table.has_locality_hash());
-            assert_eq!(spec_u.export_entries(), spec_m.export_entries());
+        // k = 33 and 55 pack into two machine words, so the owners rolled
+        // along each read (checked against `table.owner` by the pass's
+        // debug assertion) cross the u128 word boundary.
+        for k in [21, 33, 55] {
+            for use_bloom in [false, true] {
+                let mut cfg = KmerAnalysisConfig::new(k);
+                cfg.theta = 256;
+                cfg.hh_min_reported = 50;
+                cfg.use_bloom = use_bloom;
+                cfg.partition = hipmer_pgas::PartitionScheme::Uniform;
+                let (spec_u, _) = analyze_kmers(&team, &reads, &cfg);
+                cfg.partition = hipmer_pgas::PartitionScheme::Minimizer;
+                let (spec_m, _) = analyze_kmers(&team, &reads, &cfg);
+                assert!(spec_m.table.has_locality_hash());
+                assert!(spec_u.distinct() > 1000, "k={k}: fixture too small");
+                assert_eq!(
+                    spec_u.export_entries(),
+                    spec_m.export_entries(),
+                    "k={k} use_bloom={use_bloom}"
+                );
+            }
         }
     }
 

@@ -247,7 +247,11 @@ where
         self.hasher.hash_one(key)
     }
 
-    /// The rank owning the key whose placement hash is `h`.
+    /// The rank owning the key whose placement hash is `h`: `owner(key) ==
+    /// owner_of_hash(h)` where `h` is the locality hash of `key` when one
+    /// is installed, else its [`key_hash`](Self::key_hash). Streaming
+    /// callers that already hold the placement hash (k-mer analysis rolls
+    /// minimizer hashes along each read) use this to skip recomputing it.
     ///
     /// A `Placement::Custom` owner outside `0..ranks` is checked with a
     /// **release-mode** assert: the owner feeds `shard_index`, and an
@@ -255,7 +259,7 @@ where
     /// rank's sub-shard — the same rationale as `Topology::chunk`'s release
     /// bounds check.
     #[inline]
-    fn owner_of_hash(&self, h: u64) -> usize {
+    pub fn owner_of_hash(&self, h: u64) -> usize {
         match &self.placement {
             Placement::Cyclic => (h % self.topo.ranks() as u64) as usize,
             Placement::Custom(f) => {
@@ -380,14 +384,17 @@ where
     {
         let owner = self.owner(key);
         self.account(ctx, owner);
-        self.lock_shard(self.shard_of_key(key)).get(key).cloned()
+        self.lock_shard(Self::shard_index(owner, self.key_hash(key)))
+            .get(key)
+            .cloned()
     }
 
     /// One-sided existence check.
     pub fn contains(&self, ctx: &mut RankCtx, key: &K) -> bool {
         let owner = self.owner(key);
         self.account(ctx, owner);
-        self.lock_shard(self.shard_of_key(key)).contains_key(key)
+        self.lock_shard(Self::shard_index(owner, self.key_hash(key)))
+            .contains_key(key)
     }
 
     /// One-sided write; returns the previous value if any. Counts a service
@@ -428,7 +435,7 @@ where
     {
         let owner = self.owner(key);
         self.account(ctx, owner);
-        let idx = self.shard_of_key(key);
+        let idx = Self::shard_index(owner, self.key_hash(key));
         self.bump_seq(idx);
         let mut shard = self.lock_shard(idx);
         f(shard.get_mut(key))
@@ -438,7 +445,7 @@ where
     pub fn remove(&self, ctx: &mut RankCtx, key: &K) -> Option<V> {
         let owner = self.owner(key);
         self.account(ctx, owner);
-        let idx = self.shard_of_key(key);
+        let idx = Self::shard_index(owner, self.key_hash(key));
         self.bump_seq(idx);
         self.lock_shard(idx).remove(key)
     }
@@ -1105,12 +1112,19 @@ mod tests {
             "co-owned keys must spread over the owner's sub-shards, used {}",
             subs.len()
         );
-        // Reads, batched reads and removal agree with the overridden owner
-        // (the locality hash maps every key to 3, and 3 % 4 ranks = 3).
+        // Reads, read-modify-writes, batched reads and removal agree with
+        // the overridden owner (the locality hash maps every key to 3, and
+        // 3 % 4 ranks = 3).
         assert_eq!(dht.owner(&7), dht.owner_of_hash(3));
         assert_eq!(dht.get(&mut c, &7), Some(0));
-        assert_eq!(dht.multi_get(&mut c, &[1, 2, 3]), vec![Some(0); 3]);
-        assert_eq!(dht.remove(&mut c, &7), Some(0));
+        assert!(dht.contains(&mut c, &7));
+        assert_eq!(dht.with_mut(&mut c, &7, |v| v.map(|v| *v += 1)), Some(()));
+        assert_eq!(
+            dht.multi_get(&mut c, &[1, 2, 7]),
+            vec![Some(0), Some(0), Some(1)]
+        );
+        assert_eq!(dht.remove(&mut c, &7), Some(1));
+        assert!(!dht.contains(&mut c, &7));
     }
 
     #[test]

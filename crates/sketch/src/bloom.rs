@@ -59,33 +59,53 @@ impl BloomFilter {
         self.inserted
     }
 
+    /// Probe positions by double hashing: `h1 + i*h2 (mod m)`, with `h2`
+    /// odd so it is coprime with the power-of-two size. The iterator owns
+    /// copies of what it reads, so callers can set bits while probing
+    /// without collecting the positions first.
     #[inline]
-    fn probes(&self, key_hash: u64) -> impl Iterator<Item = u64> + '_ {
-        // Double hashing: position_i = h1 + i*h2 (mod m). Make h2 odd so it
-        // is coprime with the power-of-two size.
-        let h1 = key_hash;
-        let h2 = mix64(key_hash) | 1;
-        (0..self.hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2))) & self.mask)
+    fn probes(&self, key_hash: u64) -> impl Iterator<Item = u64> {
+        let (h1, h2, mask) = (key_hash, mix64(key_hash) | 1, self.mask);
+        (0..self.hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2))) & mask)
     }
 
     /// Insert a key hash. Returns `true` if the key **may have been present
     /// already** (all probe bits were set before this insert) — the signal
-    /// k-mer analysis uses for "seen at least twice".
+    /// k-mer analysis uses for "seen at least twice". Allocation-free.
+    #[inline]
     pub fn insert(&mut self, key_hash: u64) -> bool {
         let mut seen = true;
-        for pos in self.probes(key_hash).collect::<Vec<_>>() {
-            let (word, bit) = ((pos / 64) as usize, pos % 64);
-            let mask = 1u64 << bit;
-            if self.bits[word] & mask == 0 {
-                seen = false;
-                self.bits[word] |= mask;
-            }
+        for pos in self.probes(key_hash) {
+            seen &= self.set_bit(pos);
         }
         self.inserted += 1;
         seen
     }
 
+    /// Reference for [`insert`](Self::insert): collects the probe
+    /// positions into a fresh `Vec` before setting them, one allocation
+    /// per insert. Kept for the differential test and the kernel bench.
+    #[doc(hidden)]
+    pub fn insert_reference(&mut self, key_hash: u64) -> bool {
+        let mut seen = true;
+        for pos in self.probes(key_hash).collect::<Vec<_>>() {
+            seen &= self.set_bit(pos);
+        }
+        self.inserted += 1;
+        seen
+    }
+
+    /// Set bit `pos`; returns whether it was already set.
+    #[inline]
+    fn set_bit(&mut self, pos: u64) -> bool {
+        let (word, mask) = ((pos / 64) as usize, 1u64 << (pos % 64));
+        let was_set = self.bits[word] & mask != 0;
+        self.bits[word] |= mask;
+        was_set
+    }
+
     /// Query without inserting.
+    #[inline]
     pub fn contains(&self, key_hash: u64) -> bool {
         self.probes(key_hash)
             .all(|pos| self.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
@@ -132,6 +152,22 @@ mod tests {
         let mut f = BloomFilter::with_rate(1000, 0.001);
         assert!(!f.insert(mix64(7)), "first insert is new");
         assert!(f.insert(mix64(7)), "second insert is seen");
+    }
+
+    #[test]
+    fn insert_matches_collecting_reference() {
+        // Same answers and the same bit pattern as the collect-to-Vec
+        // probe loop, across filter shapes (1 to 16 probes).
+        for (n, rate) in [(64, 0.5), (1_000, 0.01), (5_000, 0.0001)] {
+            let mut fast = BloomFilter::with_rate(n, rate);
+            let mut reference = fast.clone();
+            for k in 0..3 * n as u64 {
+                let h = mix64(k % (2 * n as u64));
+                assert_eq!(fast.insert(h), reference.insert_reference(h), "n={n} k={k}");
+            }
+            assert_eq!(fast.bits, reference.bits, "n={n}");
+            assert_eq!(fast.inserted(), reference.inserted());
+        }
     }
 
     #[test]
